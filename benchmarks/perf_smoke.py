@@ -1,6 +1,6 @@
 """Launch-engine throughput smoke: blocks/sec per engine, per workload.
 
-Times the three launch engines (serial, parallel, batched) on the
+Times the two launch engines (serial, batched) on the
 reference hot paths the engines were built for:
 
 * LP-instrumented SPMV at 1024 blocks (the paper-shape streaming
@@ -51,11 +51,8 @@ BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_sim.json"
 #: Regression tolerance for ``--check``: fail below 70 % of baseline.
 TOLERANCE = 0.30
 
-#: jobs=None — the container-aware CPU budget, so the parallel engine
-#: sizes its pool to what the runner actually grants.
 ENGINES = {
     "serial": lambda: repro.make_engine("serial"),
-    "parallel": lambda: repro.make_engine("parallel"),
     "batched": lambda: repro.make_engine("batched"),
 }
 
@@ -290,7 +287,7 @@ def run_mapped_suite() -> dict:
 SHARD_COUNT = 4
 
 #: Floor on the headline sharded-recovery claim: cold-open recovery of
-#: a 4-shard heap (concurrent shard reopen + the parallel per-shard
+#: a 4-shard heap (concurrent shard reopen + the batched
 #: validate/recover pipeline) must beat the single mapped heap's
 #: serial recovery by at least this factor, at equal failed-block
 #: counts.
@@ -322,11 +319,13 @@ def measure_sharded_recovery() -> dict:
     Both arms crash the same SPMV instance onto a durable heap, close
     it, and then time the full cold recovery: reopen (concurrent
     per-shard for the sharded arm), adopt into a rebuilt device, and
-    the eager validate → re-execute → re-validate cycle. The single
-    heap recovers on the serial engine (the pre-sharding pipeline);
-    the sharded heap recovers on the parallel engine with shard-affine
-    chunk dispatch. Failed-block sets are asserted equal and the
-    recovered NVM images bit-identical before the speedup is reported.
+    the eager validate → re-execute → re-validate cycle. The arms
+    differ in engine as well as in heap: the single heap recovers on
+    the serial engine (the pre-sharding pipeline), the sharded heap on
+    the batched engine, so the ratio credits both the concurrent shard
+    reopen and vectorized recovery. Failed-block sets are asserted
+    equal and the recovered NVM images bit-identical before the
+    speedup is reported.
     """
     import tempfile
 
@@ -346,7 +345,7 @@ def measure_sharded_recovery() -> dict:
                 else:
                     heap = ShardedShadow.create(path,
                                                 n_shards=SHARD_COUNT)
-                    engine_name = "parallel"
+                    engine_name = "batched"
                 _crash_onto_heap(heap)
 
                 # Rebuild the device deterministically (not timed —
@@ -572,45 +571,6 @@ def run_suite() -> dict:
     return suite
 
 
-#: Workloads whose parallel-vs-serial speedup is a gated headline claim.
-PARALLEL_SPEEDUP_WORKLOADS = ("spmv", "tmm")
-
-#: Floor on the gated parallel speedups: the shared-memory engine must
-#: beat serial by at least this factor on the workloads above.
-PARALLEL_SPEEDUP_FLOOR = 2.0
-
-#: Floor on parallel(batched chunks) vs the batched engine alone. The
-#: composed mode ships the same vectorized groups through the pool, so
-#: it may trail batched only by chunking + slot overhead — generous
-#: here because single-core runners get no fan-out to amortize it.
-PARALLEL_VS_BATCHED_FLOOR = 0.5
-
-
-def derive_parallel_speedup(suite: dict, recovery: dict) -> dict:
-    """The ``parallel_speedup`` scenario: headline ratios, no re-timing.
-
-    Derived from the suite's parity-checked measurements: parallel vs
-    serial and parallel vs batched per gated workload, plus the
-    post-crash validation speedup.
-    """
-    rows: dict = {}
-    for workload in PARALLEL_SPEEDUP_WORKLOADS:
-        par = suite[workload]["parallel"]
-        bat = suite[workload]["batched"]
-        rows[workload] = {
-            "speedup_vs_serial": par["speedup_vs_serial"],
-            "vs_batched": round(
-                par["blocks_per_sec"] / bat["blocks_per_sec"], 3
-            ),
-        }
-        print(f"parallel_speedup {workload:8s} "
-              f"{rows[workload]['speedup_vs_serial']:6.2f}x vs serial, "
-              f"{rows[workload]['vs_batched']:6.2f}x vs batched")
-    rows["validate_speedup_vs_serial"] = \
-        recovery["parallel"]["validate_speedup_vs_serial"]
-    return rows
-
-
 def check_against_baseline(suite: dict, recovery: dict | None = None,
                            mapped: dict | None = None,
                            telemetry: dict | None = None,
@@ -703,7 +663,6 @@ def main(argv: list[str] | None = None) -> int:
     mapped = run_mapped_suite()
     telemetry = run_telemetry_suite()
     sharded = run_sharded_suite()
-    speedup = derive_parallel_speedup(suite, recovery)
     if args.check:
         return check_against_baseline(suite, recovery, mapped,
                                       telemetry, sharded)
@@ -714,7 +673,6 @@ def main(argv: list[str] | None = None) -> int:
         "tolerance": TOLERANCE,
         "mapped_overhead_limit": MAPPED_OVERHEAD_LIMIT,
         "telemetry_overhead_limit": TELEMETRY_OVERHEAD_LIMIT,
-        "parallel_speedup_floor": PARALLEL_SPEEDUP_FLOOR,
         "sharded_recovery_speedup_floor": SHARDED_RECOVERY_SPEEDUP_FLOOR,
         "sharded_writeback_limit": SHARDED_WRITEBACK_LIMIT,
         "workloads": suite,
@@ -722,7 +680,6 @@ def main(argv: list[str] | None = None) -> int:
         "mapped_writeback": mapped,
         "telemetry_overhead": telemetry,
         "sharded_recovery": sharded,
-        "parallel_speedup": speedup,
     }, indent=2) + "\n")
     print(f"wrote {BASELINE_PATH}")
     return 0

@@ -65,7 +65,6 @@ from repro.gpu.device import Device, LaunchResult
 from repro.gpu.engine import (
     BatchedEngine,
     LaunchEngine,
-    ParallelEngine,
     SerialEngine,
     make_engine,
 )
@@ -109,7 +108,6 @@ __all__ = [
     "LPRuntime",
     "MappedShadow",
     "NVMSpec",
-    "ParallelEngine",
     "RecoveryManager",
     "RecoveryReport",
     "ReductionMode",

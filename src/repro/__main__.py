@@ -116,7 +116,7 @@ def _make_run(args: argparse.Namespace):
         "quadratic": repro.LPConfig.naive_quadratic(),
         "cuckoo": repro.LPConfig.naive_cuckoo(),
     }
-    engine = repro.make_engine(args.engine, jobs=args.jobs)
+    engine = repro.make_engine(args.engine)
     stack = contextlib.ExitStack()
     shadow = None
     if getattr(args, "shards", 0):
@@ -164,13 +164,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         else obs.NullMetrics(),
     ) if want_recorder else None
     if want_telemetry:
-        from repro.gpu import shm
-
         recorder.sampler = obs.TelemetrySampler(
             recorder.metrics,
             interval=args.telemetry_interval,
             jsonl_path=args.telemetry,
-            gauge_providers=[shm.publish_segment_gauges],
         )
         recorder.sampler.start()
     previous = obs.install(recorder) if recorder is not None else None
@@ -386,7 +383,7 @@ def _cmd_mc(args: argparse.Namespace) -> int:
 
     options = MCOptions(
         scale=args.scale, seed=args.seed, config=args.config,
-        engine=args.engine, jobs=args.jobs, cache_lines=args.cache_lines,
+        engine=args.engine, cache_lines=args.cache_lines,
         budget=args.budget,
     )
     report = run_mc(list(args.workloads), options)
@@ -549,14 +546,11 @@ def _cmd_crash_test(args: argparse.Namespace) -> int:
     previous = None
     recorder = None
     if args.telemetry:
-        from repro.gpu import shm
-
         recorder = obs.Recorder(metrics=obs.MetricsRegistry())
         recorder.sampler = obs.TelemetrySampler(
             recorder.metrics,
             interval=args.telemetry_interval,
             jsonl_path=args.telemetry,
-            gauge_providers=[shm.publish_segment_gauges],
         )
         recorder.sampler.start()
         previous = obs.install(recorder)
@@ -569,7 +563,6 @@ def _cmd_crash_test(args: argparse.Namespace) -> int:
             seed=args.seed,
             kill_rounds=args.rounds,
             trigger=args.trigger,
-            jobs=args.jobs,
             cache_lines=args.cache_lines,
             timeout=args.timeout,
             progress=progress,
@@ -615,7 +608,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     config = ServiceConfig(
         capacity=args.capacity,
         engine=args.engine,
-        jobs=args.jobs,
         cache_lines=args.cache_lines,
         config=args.config,
         max_batch=args.max_batch,
@@ -640,14 +632,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         # write-back window (or after N blocks / S seconds).
         server.install_kill_trigger(args.kill_trigger)
     if recorder is not None and args.telemetry:
-        from repro.gpu import shm
-
         recorder.sampler = obs.TelemetrySampler(
             recorder.metrics,
             interval=args.telemetry_interval,
             jsonl_path=args.telemetry,
-            gauge_providers=[shm.publish_segment_gauges,
-                             server.publish_gauges],
+            gauge_providers=[server.publish_gauges],
         )
         recorder.sampler.start()
 
@@ -740,12 +729,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cache-lines", type=int, default=64)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--engine", default="serial",
-                       choices=("serial", "parallel", "batched"),
-                       help="launch engine (all are bit-identical)")
-        p.add_argument("--jobs", type=int, default=None, metavar="N",
-                       help="worker count (parallel; default: the "
-                            "container-aware CPU budget) / "
-                            "group size (batched)")
+                       choices=("serial", "batched"),
+                       help="launch engine (both are bit-identical)")
         p.add_argument("--shards", type=int, default=0, metavar="N",
                        help="run against an N-shard mapped NVM heap "
                             "in a scratch directory (default: "
@@ -804,7 +789,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="max candidate crash states per workload "
                            "(default 4000)")
     p_mc.add_argument("--engine", default="serial",
-                      choices=("serial", "parallel", "batched"))
+                      choices=("serial", "batched"))
     p_mc.add_argument("--scale", default="small",
                       choices=("tiny", "small", "medium"))
     p_mc.add_argument("--config", default="global-array",
@@ -814,7 +799,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "maximize eviction events and therefore the "
                            "reachable crash-state space (default 2)")
     p_mc.add_argument("--seed", type=int, default=7)
-    p_mc.add_argument("--jobs", type=int, default=None, metavar="N")
     p_mc.add_argument("--out", default=None, metavar="FILE",
                       help="write the JSON report here")
     p_mc.add_argument("--json", action="store_true",
@@ -831,9 +815,9 @@ def build_parser() -> argparse.ArgumentParser:
              "prove recovery end to end")
     p_ct.add_argument("--workloads", nargs="+", default=["spmv", "tmm"],
                       help="workloads to kill (default: spmv tmm)")
-    p_ct.add_argument("--engines", nargs="+", default=["serial",
-                      "parallel", "batched"],
-                      choices=("serial", "parallel", "batched"),
+    p_ct.add_argument("--engines", nargs="+",
+                      default=["serial", "batched"],
+                      choices=("serial", "batched"),
                       help="launch engines to cover")
     p_ct.add_argument("--configs", nargs="+", default=["global-array"],
                       choices=("global-array", "quadratic", "cuckoo"),
@@ -856,7 +840,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "instead of the fixed --trigger threshold; "
                            "per-round triggers land in the JSON report "
                            "for exact replay")
-    p_ct.add_argument("--jobs", type=int, default=None, metavar="N")
     p_ct.add_argument("--shards", type=int, default=0, metavar="N",
                       help="run every cell against an N-shard heap; "
                            "the launch round becomes a shard-kill "
@@ -945,8 +928,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument("--capacity", type=int, default=8192,
                        help="store record capacity (slots are 8x)")
     p_srv.add_argument("--engine", default="serial",
-                       choices=("serial", "parallel", "batched"))
-    p_srv.add_argument("--jobs", type=int, default=None, metavar="N")
+                       choices=("serial", "batched"))
     p_srv.add_argument("--cache-lines", type=int, default=256)
     p_srv.add_argument("--config", default="global-array",
                        choices=("global-array", "quadratic", "cuckoo"))

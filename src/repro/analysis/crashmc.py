@@ -148,7 +148,6 @@ class MCOptions:
     seed: int = 7
     config: str = "global-array"
     engine: str = "serial"
-    jobs: int | None = None
     #: Small on purpose: a tight write-back cache maximizes eviction
     #: events, which is what grows the reachable crash-state space.
     cache_lines: int = 3
@@ -578,7 +577,7 @@ def check_workload(workload: str,
         spec = ChildSpec(
             workload=workload, scale=options.scale, seed=options.seed,
             config=options.config, engine=options.engine,
-            jobs=options.jobs, cache_lines=options.cache_lines,
+            cache_lines=options.cache_lines,
             heap_path="", ready_path="", phase="launch", trigger=None,
         )
         return build_run(spec, shadow=shadow)

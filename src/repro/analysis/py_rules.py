@@ -10,9 +10,8 @@ only exist on this front-end:
   wrappers, where the checksum-table sizing and the parity/float
   configuration are concrete objects instead of directive text.
 * LP005 cross-checks a kernel's ``parallel_safe`` declaration against
-  the replay constraints of the parallel launch engine
-  (:mod:`repro.gpu.engine` forbids ``atomic_cas``/``atomic_exch``/
-  ``clwb`` and host-visible mutation in replayed blocks).
+  what out-of-order, log-replayed block execution cannot reproduce
+  (``atomic_cas``/``atomic_exch``/``clwb`` and host-visible mutation).
 """
 
 from __future__ import annotations
@@ -185,8 +184,8 @@ def _check_lp005(kernel, effects: PyKernelEffects) -> list[Finding]:
             severity=Severity.ERROR,
             message=(
                 f"kernel declares parallel_safe = True but uses {what}; "
-                "the parallel launch engine replays blocks out of order "
-                "and forbids this"
+                "blocks replayed out of order from a log cannot "
+                "reproduce this"
             ),
             line=lineno,
             kernel=kernel.name,
@@ -702,7 +701,8 @@ def lint_python_text(text: str, path: str = "<source>") -> list[Finding]:
                         message=(
                             "class declares parallel_safe = True but "
                             f"run_block uses ctx.atomic_{store.atomic}; "
-                            "the parallel launch engine forbids this"
+                            "out-of-order block replay cannot reproduce "
+                            "this"
                         ),
                         file=path,
                         line=store.lineno,

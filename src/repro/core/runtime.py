@@ -92,7 +92,7 @@ class LazyPersistentKernel(Kernel):
     @property
     def parallel_safe(self) -> bool:
         """Safe iff the inner kernel is; table insertion is deferred to
-        the parent process, so the table never runs in a worker."""
+        launch-order application, so it never runs out of order."""
         return self.inner.parallel_safe
 
     @property

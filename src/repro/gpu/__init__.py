@@ -1,15 +1,14 @@
 """Simulated SIMT GPU substrate: memory, cache, warps, kernels, device.
 
 Block execution is pluggable: :mod:`repro.gpu.engine` provides the
-serial, process-parallel and batched (vectorized-group) launch engines,
-all bit-identical in results.
+serial and batched (vectorized-group) launch engines, bit-identical
+in results.
 """
 
 from repro.gpu.engine import (
     BatchedEngine,
     LaunchEngine,
     LaunchPlan,
-    ParallelEngine,
     SerialEngine,
     make_engine,
 )
@@ -18,7 +17,6 @@ __all__ = [
     "BatchedEngine",
     "LaunchEngine",
     "LaunchPlan",
-    "ParallelEngine",
     "SerialEngine",
     "make_engine",
 ]

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random import default_rng
 
 from repro.errors import CrashedDeviceError, LaunchError
 from repro.gpu.atomics import AtomicUnit
@@ -98,8 +99,8 @@ class Device:
         Seed for shuffled block order and crash lotteries.
     engine:
         How blocks execute: a :class:`~repro.gpu.engine.LaunchEngine`
-        instance, an engine name (``"serial"`` / ``"parallel"`` /
-        ``"batched"``), or ``None`` for serial. All engines are
+        instance, an engine name (``"serial"`` / ``"batched"``), or
+        ``None`` for serial. Both engines are
         bit-identical in results; see :mod:`repro.gpu.engine`.
     shadow:
         Optional durable write-back target (a
@@ -135,7 +136,7 @@ class Device:
         #: cumulative completed-block count) by every engine — the
         #: crash harness's "kill after N blocks" trigger point.
         self.block_hook = None
-        self._rng = np.random.default_rng(self.seed)
+        self._rng = default_rng(self.seed)
         self._launch_counter = 0
 
     # ------------------------------------------------------------------

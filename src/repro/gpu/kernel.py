@@ -371,12 +371,13 @@ class Kernel(abc.ABC):
     name: str = "kernel"
     protected_buffers: tuple[str, ...] = ()
     idempotent: bool = True
-    #: Whether block execution is safe to replicate in a worker process
-    #: and replay from an operation log (see ``ParallelEngine``). A
-    #: kernel must opt *out* when a block's behaviour depends on state
-    #: the log cannot capture: host-side mutation (statistics objects),
-    #: or read-modify-write control flow through ``atomic_cas`` /
-    #: ``atomic_exch`` whose results depend on other blocks.
+    #: Whether a block's effects are independent of every other
+    #: block's progress, so blocks could run out of order and be
+    #: replayed from an operation log. Kernels opt *out* when a block
+    #: depends on host-side mutation (statistics objects) or on
+    #: read-modify-write control flow through ``atomic_cas`` /
+    #: ``atomic_exch``. No launch engine reads this flag; lint rule
+    #: LP005 is its only consumer and flags contradicting declarations.
     parallel_safe: bool = True
     #: Whether :meth:`run_block_batch` is implemented (``BatchedEngine``).
     batchable: bool = False

@@ -21,8 +21,8 @@ group — ``SIGKILL``, no handlers, no cleanup — when a trigger fires:
   cleanly — the shard-containment kill.
 
 The parent (:func:`run_child`) spawns the child in its **own session**
-so the child's ``os.kill(0, SIGKILL)`` takes out any ``ParallelEngine``
-pool workers with it — nothing survives to corrupt the next round.
+so the child's ``os.kill(0, SIGKILL)`` takes out anything the child
+started with it — nothing survives to corrupt the next round.
 Child startup (interpreter boot, imports, heap setup) is distinguished
 from the run itself by a *ready marker* file: a child that dies before
 the marker appears is retried with bounded backoff
@@ -49,7 +49,6 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from repro.errors import ChildStartupError, ChildTimeoutError, HarnessError
-from repro.gpu import shm
 
 #: Trigger kinds and whether their threshold is an int count.
 TRIGGER_KINDS = ("writebacks", "blocks", "walltime")
@@ -113,7 +112,6 @@ class ChildSpec:
     seed: int
     config: str
     engine: str
-    jobs: int | None
     cache_lines: int
     heap_path: str
     ready_path: str
@@ -182,7 +180,7 @@ def build_run(spec: ChildSpec, shadow=None):
     }
     if spec.config not in configs:
         raise HarnessError(f"unknown LP config {spec.config!r}")
-    engine = repro.make_engine(spec.engine, jobs=spec.jobs)
+    engine = repro.make_engine(spec.engine)
     device = repro.Device(cache_capacity_lines=spec.cache_lines,
                           engine=engine, shadow=shadow)
     work = make_workload(spec.workload, scale=spec.scale, seed=spec.seed)
@@ -314,9 +312,8 @@ def _child_env(tmpdir: Path) -> dict[str, str]:
         src_root if not existing
         else src_root + os.pathsep + existing
     )
-    # Engine pools and any tempfile use inside the child land in the
-    # managed dir, so a SIGKILLed child leaks nothing the parent's
-    # cleanup doesn't remove.
+    # Any tempfile use inside the child lands in the managed dir, so a
+    # SIGKILLed child leaks nothing the parent's cleanup doesn't remove.
     env["TMPDIR"] = str(tmpdir)
     return env
 
@@ -356,10 +353,6 @@ def run_child(
         ):
             outcome = _run_once(spec_path, ready, tmpdir, timeout)
         if outcome is not None:
-            # A SIGKILLed child (and its engine pool workers, killed
-            # with the session) never ran its shared-memory atexit
-            # sweep; reap any segments its dead pids left in /dev/shm.
-            shm.reap_orphans()
             if rec.metrics.active and outcome.killed:
                 rec.metrics.inc("harness.kill", phase=spec.phase,
                                 workload=spec.workload,
@@ -423,7 +416,7 @@ def _run_once(spec_path: Path, ready: Path, tmpdir,
 
 
 def _kill_group(proc: subprocess.Popen) -> None:
-    """SIGKILL the child's whole session (pool workers included)."""
+    """SIGKILL the child's whole session."""
     try:
         os.killpg(proc.pid, signal.SIGKILL)
     except ProcessLookupError:

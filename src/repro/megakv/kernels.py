@@ -48,8 +48,8 @@ class _BatchKernel(Kernel):
 
     #: Every MEGA-KV kernel mutates host-side ``store.stats`` inside
     #: ``run_block`` (and insert claims slots via ``atomic_cas``), so a
-    #: forked worker's execution cannot be replayed faithfully. The
-    #: in-process batched engine is fine — search opts back in below.
+    #: block's execution cannot be replayed from a log. The in-process
+    #: batched engine is fine — search opts back in below.
     parallel_safe = False
 
     def __init__(

@@ -8,10 +8,13 @@ Crash handling must respect LP's "arbitrarily old regions" caveat
 (Section IV-A): a crash during batch N can also lose still-unevicted
 effects of batches < N, so the session keeps every batch since the
 last checkpoint in an *epoch* and, on a crash, recovers the whole
-epoch oldest-first (re-execution order preserves last-writer-wins
-across batches) before admitting new work. A successful recovery — or
-an explicit :meth:`KVBatchSession.checkpoint` — drains the persistence
-domain and closes the epoch. (A hypothesis model-based test caught
+epoch oldest-first before admitting new work. Once one batch
+re-executes anything, every later batch is replayed in full, so
+re-execution order preserves last-writer-wins across batches even
+when a later batch's checksums happen to match the clobbered words.
+A successful recovery — or an explicit
+:meth:`KVBatchSession.checkpoint` — drains the persistence domain and
+closes the epoch. (A hypothesis model-based test caught
 exactly the single-batch-recovery bug this design removes.)
 """
 
@@ -25,6 +28,7 @@ from repro.core.config import LPConfig
 from repro.core.recovery import RecoveryManager, RecoveryReport
 from repro.core.runtime import LazyPersistentKernel, LPRuntime
 from repro.gpu.device import Device, LaunchResult
+from repro.gpu.kernel import ExecMode
 from repro.megakv.kernels import (
     KVDeleteKernel,
     KVInsertKernel,
@@ -195,11 +199,21 @@ class KVBatchSession:
                 if rec.metrics.active:
                     rec.metrics.inc("megakv.batch.crashes", op=op)
                 self.device.restart()
-                for old_kernel in self._epoch:
-                    RecoveryManager(self.device, old_kernel).recover()
-                outcome.recovery = RecoveryManager(
-                    self.device, lp_kernel
-                ).recover()
+                # Once a batch re-executes any block, every later batch
+                # re-executes in full: the re-execution may overwrite a
+                # later batch's write to the same key, and that batch's
+                # checksum lanes can alias the clobbered words (modular
+                # and parity sums both collide), so its validation
+                # cannot be trusted to notice.
+                replay = False
+                for epoch_kernel in (*self._epoch, lp_kernel):
+                    if replay:
+                        self.device.launch(epoch_kernel,
+                                           mode=ExecMode.RECOVER)
+                    report = RecoveryManager(self.device,
+                                             epoch_kernel).recover()
+                    replay = replay or bool(report.recovered_blocks)
+                outcome.recovery = report
                 self.checkpoint()
             else:
                 self._epoch.append(lp_kernel)

@@ -31,10 +31,7 @@ drop-in ``Device(shadow=...)`` / ``GlobalMemory(shadow=...)`` target:
   shards stay clean.
 
 * **Concurrent recovery** — :meth:`open` validates and reopens all
-  shards concurrently (one thread per shard), and
-  :meth:`shard_of_block` exposes the block→shard affinity hint the
-  parallel engine uses to keep each worker's validate/recover chunks
-  shard-local.
+  shards concurrently (one thread per shard).
 
 A manifest update is an atomic write-to-temp + ``os.replace``, so a
 kill mid-update leaves the previous valid manifest — torn manifests
@@ -89,7 +86,7 @@ class ShardedShadow:
     reconstruct one cold from its manifest after a crash; both return
     an object interchangeable with :class:`MappedShadow` everywhere a
     shadow backend is accepted (``Device``, ``GlobalMemory``, the
-    crash harness, ``adopt``/``enter_worker_mode`` flows).
+    crash harness, ``adopt`` flows).
     """
 
     def __init__(self, path: Path, shards: list[MappedShadow],
@@ -123,7 +120,6 @@ class ShardedShadow:
         #: Last :meth:`arm` partition: shard id -> armed line count.
         self._armed: dict[int, int] = {}
         self._closed = False
-        self._sealed = False
 
     @property
     def n_shards(self) -> int:
@@ -275,7 +271,6 @@ class ShardedShadow:
     def attach(self, buf) -> np.ndarray:
         """Home ``buf`` in one shard and record the block→shard claim."""
         self._check_open()
-        self._check_writable()
         if buf.name in self.entries:
             raise AllocationError(
                 f"buffer {buf.name!r} already lives in sharded heap "
@@ -377,7 +372,6 @@ class ShardedShadow:
     def arm(self, line_ids) -> None:
         """Partition a write-back by shard and arm each shard's journal."""
         self._check_open()
-        self._check_writable()
         parts: dict[int, list[int]] = {}
         for lid in line_ids:
             parts.setdefault(self._shard_of_line(int(lid)), []).append(
@@ -406,7 +400,6 @@ class ShardedShadow:
         same write-back) armed while already-committed shards are
         clean.
         """
-        self._check_writable()
         self.lines_written += n_lines
         listener = self.writeback_listener
         if listener is not None:
@@ -430,16 +423,9 @@ class ShardedShadow:
     # Durability and lifecycle
     # ------------------------------------------------------------------
 
-    def seal(self) -> None:
-        """Seal every shard for worker-process fork safety."""
-        self._sealed = True
-        for shard in self.shards:
-            shard.seal()
-
     def sync(self) -> None:
         """``msync`` all shards (concurrently when there are several)."""
         self._check_open()
-        self._check_writable()
         rec = _recorder()
         with rec.trace.span("heap.sharded.sync", cat="nvm", track="nvm",
                             shards=self.n_shards):
@@ -467,18 +453,8 @@ class ShardedShadow:
         self.close()
 
     # ------------------------------------------------------------------
-    # Shard topology accessors (engine affinity, harness, inspector)
+    # Shard topology accessors (harness, inspector)
     # ------------------------------------------------------------------
-
-    def shard_of_block(self, block_id: int) -> int:
-        """Affinity hint: the shard a *thread block*'s chunk prefers.
-
-        LP regions (thread blocks) are mutually independent, so any
-        deterministic partition is sound; a simple modulo keeps the
-        parallel engine's contiguous chunks spread evenly across
-        shard-affine workers.
-        """
-        return int(block_id) % self.n_shards
 
     def shard_of_buffer(self, name: str) -> int:
         """The shard that owns a directory buffer."""
@@ -503,13 +479,6 @@ class ShardedShadow:
     def _check_open(self) -> None:
         if self._closed:
             raise HeapFormatError(f"sharded heap {self.path} is closed")
-
-    def _check_writable(self) -> None:
-        if self._sealed:
-            raise HeapFormatError(
-                f"sharded heap {self.path} is sealed in a worker "
-                "process; only the parent may persist"
-            )
 
     def _shard_of_line(self, line_id: int) -> int:
         block = line_id // self.block_lines

@@ -38,16 +38,11 @@ from dataclasses import dataclass, field
 #:
 #: * ``time.`` — wall-clock observations; never deterministic.
 #: * ``engine.scheduling.`` — how an engine carved the launch into
-#:   chunks/groups is the engine's own business (serial has no chunks).
-#: * ``engine.shm.`` — shared-memory pool bookkeeping (segment bytes,
-#:   worker busy fractions); only the parallel engine emits it.
-#: * ``engine.slots.`` — slot-array merge timing; wall clock, and only
-#:   the parallel engine's pooled path has slots at all.
+#:   groups is the engine's own business (serial has no groups).
 #: * ``service.window.ms`` — the KV daemon's per-window wall clock.
 #:
-#: Everything else must match across serial/parallel/batched engines.
+#: Everything else must match across the serial and batched engines.
 ORDER_SENSITIVE_PREFIXES = ("time.", "engine.scheduling.",
-                            "engine.shm.", "engine.slots.",
                             "service.window.ms")
 
 #: Labels whose *values* are identity, not semantics: the ``engine``

@@ -69,7 +69,6 @@ class ServiceConfig:
     #: <= 12.5 % load-factor sizing).
     capacity: int = 8192
     engine: str = "serial"
-    jobs: int | None = None
     cache_lines: int = 256
     #: LP configuration name (see :data:`LP_CONFIGS`).
     config: str = "global-array"
@@ -216,7 +215,7 @@ class ServiceCore:
 
     def _open(self) -> None:
         cfg = self.config
-        engine = make_engine(cfg.engine, jobs=cfg.jobs)
+        engine = make_engine(cfg.engine)
         if self.heap_path is None:
             # Volatile service: nothing survives a restart, but the
             # whole flush path is identical (used as the latency

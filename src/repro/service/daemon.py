@@ -40,6 +40,12 @@ STATS_SCHEMA_VERSION = 1
 #: Window latencies kept for the p50/p99 stats estimate.
 LATENCY_WINDOW = 4096
 
+#: Longest single wait inside :meth:`KVServer.join`. Python runs signal
+#: handlers on the main thread only, and an untimed ``Thread.join``
+#: never wakes when the OS delivers the signal to another thread; a
+#: bounded wait lets the pending handler run within this many seconds.
+JOIN_SLICE_S = 0.2
+
 
 class _Conn:
     """A client connection: socket + serialized writes."""
@@ -189,8 +195,21 @@ class KVServer:
         self._queue_event.set()
 
     def join(self, timeout: float | None = None) -> None:
+        """Wait for the daemon threads, at most ``timeout`` s each.
+
+        Waits in :data:`JOIN_SLICE_S` slices so a SIGTERM/SIGINT that
+        lands on a worker thread still reaches its handler.
+        """
         for thread in self._threads:
-            thread.join(timeout=timeout)
+            deadline = None if timeout is None \
+                else time.monotonic() + timeout
+            while thread.is_alive():
+                wait = JOIN_SLICE_S
+                if deadline is not None:
+                    wait = min(wait, deadline - time.monotonic())
+                    if wait <= 0:
+                        break
+                thread.join(timeout=wait)
 
     # ------------------------------------------------------------------
     # Reader side

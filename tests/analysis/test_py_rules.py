@@ -170,7 +170,7 @@ def test_lp003_single_block_grids_cannot_race():
 
 
 # ---------------------------------------------------------------------------
-# LP005 — parallel_safe vs. the engine's replay constraints
+# LP005 — parallel_safe vs. out-of-order replay constraints
 # ---------------------------------------------------------------------------
 
 class _CasKernel(Kernel):

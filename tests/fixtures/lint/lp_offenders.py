@@ -116,12 +116,12 @@ OFFENDERS = ("lp008-wrap", "lp009-feedback", "lp010-shared-escape")
 
 
 def make_offender_case(name: str, shadow=None, engine: str = "serial",
-                       cache_lines: int = 4, jobs=None):
+                       cache_lines: int = 4):
     """Build ``(device, lp_kernel)`` for one offender, crashmc-style."""
     import repro
 
     device = repro.Device(cache_capacity_lines=cache_lines,
-                          engine=repro.make_engine(engine, jobs=jobs),
+                          engine=repro.make_engine(engine),
                           shadow=shadow)
     if name == "lp008-wrap":
         kernel = LP008WrapKernel()

@@ -1,8 +1,8 @@
-"""Launch-engine parity: serial vs parallel vs batched, bit for bit.
+"""Launch-engine parity: serial vs batched, bit for bit.
 
 LP regions are associative (DESIGN.md §3): a launch's final state must
-not depend on *how* its blocks were scheduled. The engines exploit that
-— process-parallel chunks, vectorized block groups — but the contract
+not depend on *how* its blocks were scheduled. The batched engine
+exploits that with vectorized block groups, but the contract
 is strict bit-identity with :class:`SerialEngine` on every observable:
 completed blocks, every tally field, every buffer's volatile data and
 NVM shadow, the write-back statistics, and (for LP kernels) the
@@ -11,27 +11,25 @@ contract across block orders and mid-kernel crashes.
 """
 
 import dataclasses
-import os
-import signal
 
 import numpy as np
 import pytest
 
 import repro
-from repro import obs
 from repro.errors import LaunchError
-from repro.gpu import shm
-from repro.gpu.engine import (
-    BatchedEngine,
-    ParallelEngine,
-    SerialEngine,
-    make_engine,
-)
+from repro.gpu.engine import BatchedEngine, SerialEngine, make_engine
 from repro.megakv.kernels import KVInsertKernel, KVSearchKernel, alloc_results
 from repro.megakv.store import MegaKVStore
 from repro.workloads.spmv import SPMVWorkload
 
-ENGINES = ["parallel", "batched"]
+#: Engine specs under test. ``batched-g2`` puts a group boundary every
+#: two blocks, so per-block application order is exercised even on
+#: launches smaller than the default 256-block group.
+ENGINES = ["batched", "batched-g2"]
+
+
+def engine_for(spec):
+    return BatchedEngine(group_size=2) if spec == "batched-g2" else spec
 
 
 def assert_same_launch(ref, other):
@@ -59,7 +57,7 @@ def assert_same_launch(ref, other):
 
 def run_spmv(engine, config, order="sequential", crash_after=None):
     device = repro.Device(cache_capacity_lines=64, block_order=order,
-                          seed=7, engine=engine)
+                          seed=7, engine=engine_for(engine))
     work = SPMVWorkload(scale="small", seed=3)
     kernel = work.setup(device)
     lp_kernel = repro.LPRuntime(device, config).instrument(kernel)
@@ -121,7 +119,7 @@ def test_crashed_state_recovers_identically():
 
 
 def run_megakv_search(engine):
-    device = repro.Device(cache_capacity_lines=64, engine=engine)
+    device = repro.Device(cache_capacity_lines=64, engine=engine_for(engine))
     store = MegaKVStore(device, capacity=512)
     rng = np.random.default_rng(11)
     keys = np.unique(
@@ -159,17 +157,6 @@ def test_megakv_search_engine_parity(engine):
 # Engine mechanics.
 
 
-def test_parallel_falls_back_for_unsafe_kernels():
-    """EP kernels (clwb, cache-state dependent) must run serially."""
-    device = repro.Device(cache_capacity_lines=64, engine="parallel")
-    work = SPMVWorkload(scale="tiny", seed=3)
-    kernel = work.setup(device)
-    ep_kernel = repro.EPRuntime(device).instrument(kernel)
-    assert not getattr(ep_kernel, "parallel_safe", True)
-    device.launch(ep_kernel)
-    work.verify(device)
-
-
 def test_batched_requires_commutative_checksums():
     """Order-sensitive lanes (Adler-32) disable batching, not correctness."""
     config = repro.LPConfig(
@@ -190,12 +177,13 @@ def test_duplicate_block_ids_rejected():
 def test_make_engine_resolution():
     assert isinstance(make_engine(None), SerialEngine)
     assert isinstance(make_engine("serial"), SerialEngine)
-    assert isinstance(make_engine("parallel", jobs=2), ParallelEngine)
     assert isinstance(make_engine("batched"), BatchedEngine)
-    engine = ParallelEngine(jobs=3)
+    engine = BatchedEngine(group_size=3)
     assert make_engine(engine) is engine
     with pytest.raises(LaunchError, match="unknown launch engine"):
         make_engine("warp-speculative")
+    with pytest.raises(LaunchError, match="'serial' or 'batched'"):
+        make_engine("parallel")
 
 
 def test_device_accepts_engine_name():
@@ -203,175 +191,6 @@ def test_device_accepts_engine_name():
     assert isinstance(device.engine, BatchedEngine)
 
 
-def test_parallel_jobs_default_is_container_aware():
-    engine = ParallelEngine()
-    assert engine.jobs == shm.cpu_budget()
-    with pytest.raises(LaunchError, match="jobs >= 1"):
-        ParallelEngine(jobs=0)
-
-
-# ---------------------------------------------------------------------------
-# Shared-memory pool mechanics.
-
-
-def _forked_engine(jobs=2):
-    if "fork" not in __import__("multiprocessing").get_all_start_methods():
-        pytest.skip("no fork on this platform")
-    return ParallelEngine(jobs=jobs)
-
-
-@pytest.mark.parametrize("config_name", ["paper_best", "naive_quadratic"])
-def test_forked_pool_vectorized_parity(config_name):
-    """jobs=2 forces real worker processes through the batched path."""
-    config = getattr(repro.LPConfig, config_name)()
-    engine = _forked_engine()
-    try:
-        ref = run_spmv("serial", config, "shuffled")
-        got = run_spmv(engine, config, "shuffled")
-        assert engine._pool is not None, "pool path was not exercised"
-        assert_same_launch(ref, got)
-    finally:
-        engine.close()
-    assert not shm.leaked_segments()
-
-
-def test_forked_pool_block_granular_parity():
-    """Adler-32 lanes disable batching: workers ship per-block op logs."""
-    config = repro.LPConfig(
-        checksums=(repro.ChecksumKind.ADLER32,),
-        reduction=repro.ReductionMode.SEQUENTIAL_MEMORY,
-    )
-    engine = _forked_engine()
-    try:
-        ref = run_spmv("serial", config)
-        got = run_spmv(engine, config)
-        assert engine._pool is not None, "pool path was not exercised"
-        assert_same_launch(ref, got)
-    finally:
-        engine.close()
-    assert not shm.leaked_segments()
-
-
-def test_engine_is_reentrant_and_reuses_its_pool():
-    """Two launches on one engine instance: one fork, identical results."""
-    engine = _forked_engine()
-    try:
-        device = repro.Device(cache_capacity_lines=64, seed=7,
-                              engine=engine)
-        work = SPMVWorkload(scale="small", seed=3)
-        kernel = work.setup(device)
-        lp_kernel = repro.LPRuntime(
-            device, repro.LPConfig.paper_best()).instrument(kernel)
-        device.launch(lp_kernel)
-        first_pool = engine._pool
-        assert first_pool is not None
-        first_pids = [p.pid for p, _ in first_pool.workers]
-        device.launch(lp_kernel)
-        assert engine._pool is first_pool, "pool must persist across launches"
-        assert [p.pid for p, _ in engine._pool.workers] == first_pids
-        work.verify(device)
-    finally:
-        engine.close()
-    assert not shm.leaked_segments()
-
-
-def test_sigkilled_worker_falls_back_and_leaks_nothing():
-    """Killing a pool worker must not lose blocks or /dev/shm segments."""
-    engine = _forked_engine()
-    with obs.recording(trace=False) as rec:
-        try:
-            device = repro.Device(cache_capacity_lines=64, seed=7,
-                                  engine=engine)
-            work = SPMVWorkload(scale="small", seed=3)
-            kernel = work.setup(device)
-            lp_kernel = repro.LPRuntime(
-                device, repro.LPConfig.paper_best()).instrument(kernel)
-            device.launch(lp_kernel)
-            pool = engine._pool
-            assert pool is not None
-            victim = pool.workers[0][0]
-            os.kill(victim.pid, signal.SIGKILL)
-            victim.join(timeout=5.0)
-
-            result = device.launch(lp_kernel)
-            assert engine._pool is None, "broken pool must be torn down"
-            assert result.completed_blocks == list(
-                range(kernel.launch_config().n_blocks))
-            work.verify(device)
-        finally:
-            engine.close()
-        shm.reap_orphans()
-        assert not shm.leaked_segments()
-        # the live segment gauges must agree with the empty registry
-        assert shm.publish_segment_gauges(rec.metrics) == (0, 0)
-        snap = rec.metrics_snapshot()["gauges"]
-        assert snap["engine.shm.segments"] == 0
-        assert snap["engine.shm.segment_bytes"] == 0
-
-
-def test_forked_pool_shard_affine_dispatch_keeps_parity(tmp_path):
-    """A sharded shadow tags every chunk with its NVM shard; the pool's
-    shard-affine dispatch preference must not change results vs serial.
-    """
-    from repro.nvm.sharded import ShardedShadow
-
-    config = repro.LPConfig.paper_best()
-
-    def run(engine, path):
-        heap = ShardedShadow.create(path, n_shards=4)
-        device = repro.Device(cache_capacity_lines=64, seed=7,
-                              engine=engine, shadow=heap)
-        work = SPMVWorkload(scale="small", seed=3)
-        kernel = work.setup(device)
-        lp_kernel = repro.LPRuntime(device, config).instrument(kernel)
-        result = device.launch(lp_kernel)
-        device.drain()
-        heap.close()
-        return device, result
-
-    engine = _forked_engine()
-    with obs.recording(trace=False) as rec:
-        try:
-            ref = run("serial", tmp_path / "a.lpnv")
-            got = run(engine, tmp_path / "b.lpnv")
-            assert engine._pool is not None, "pool path was not exercised"
-            assert_same_launch(ref, got)
-            counters = rec.metrics_snapshot()["counters"]
-            affine = [v for k, v in counters.items()
-                      if k.startswith("engine.scheduling.shard_affine")]
-            assert affine and sum(affine) > 0, (
-                "pooled launch over a sharded heap never took the "
-                "shard-affine dispatch path"
-            )
-        finally:
-            engine.close()
-    assert not shm.leaked_segments()
-    # The two heaps converged to bit-identical persistent images.
-    for k in range(4):
-        a = (tmp_path / f"a.lpnv.shard{k}").read_bytes()
-        b = (tmp_path / f"b.lpnv.shard{k}").read_bytes()
-        assert a == b, f"shard {k} diverged between serial and pooled"
-
-
-def test_engine_close_unlinks_every_segment():
-    engine = _forked_engine()
-    config = repro.LPConfig.paper_best()
-    with obs.recording(trace=False) as rec:
-        run_spmv(engine, config)
-        assert engine._pool is not None
-        created = {engine._pool.image_seg.name, engine._pool.slot_seg.name,
-                   engine._pool.arena_seg.name}
-        assert created <= set(shm.leaked_segments())
-        gauges = rec.metrics_snapshot()["gauges"]
-        assert gauges["engine.shm.segments"] >= 3
-        assert gauges["engine.shm.segment_bytes"] >= sum(
-            seg.nbytes for seg in (engine._pool.image_seg,
-                                   engine._pool.slot_seg,
-                                   engine._pool.arena_seg))
-        engine.close()
-        assert not created & set(shm.leaked_segments())
-        assert engine._pool is None
-        # unlinking the last segment drove the gauges back to zero
-        gauges = rec.metrics_snapshot()["gauges"]
-        assert gauges["engine.shm.segments"] == 0
-        assert gauges["engine.shm.segment_bytes"] == 0
+def test_batched_group_size_must_be_positive():
+    with pytest.raises(LaunchError, match="group_size >= 1"):
+        BatchedEngine(group_size=0)

@@ -1,17 +1,11 @@
-"""Unit tests for the shared-memory plumbing (segments, janitor, codec)."""
+"""Unit tests for the container-aware CPU budget."""
 
 import os
-import signal
 
-import numpy as np
 import pytest
 
 from repro.gpu import shm
 
-
-# ---------------------------------------------------------------------------
-# cpu_budget
-# ---------------------------------------------------------------------------
 
 def test_cpu_budget_is_positive():
     assert shm.cpu_budget() >= 1
@@ -21,203 +15,3 @@ def test_cpu_budget_respects_affinity():
     if not hasattr(os, "sched_getaffinity"):
         pytest.skip("no scheduling affinity on this platform")
     assert shm.cpu_budget() <= max(1, len(os.sched_getaffinity(0)))
-
-
-# ---------------------------------------------------------------------------
-# Segment lifecycle
-# ---------------------------------------------------------------------------
-
-def test_segment_create_attach_destroy():
-    seg = shm.SharedSegment.create("test", 4096)
-    assert seg.name.startswith(f"{shm.SEGMENT_PREFIX}-{os.getpid()}-test-")
-    assert seg.nbytes >= 4096
-    arr = seg.ndarray(np.int64, (8,))
-    arr[:] = np.arange(8)
-
-    other = shm.SharedSegment.attach(seg.name)
-    view = other.ndarray(np.int64, (8,))
-    assert np.array_equal(view, np.arange(8))
-    view[0] = 99
-    assert arr[0] == 99  # both views alias one mapping
-
-    del view
-    other.close()
-    del arr
-    seg.destroy()
-    assert seg.name not in shm.leaked_segments()
-
-
-def test_destroy_is_idempotent_and_attach_side_never_unlinks():
-    seg = shm.SharedSegment.create("test", 128)
-    other = shm.SharedSegment.attach(seg.name)
-    other.destroy()  # non-owner: must only close, not unlink
-    assert seg.name in shm.leaked_segments()
-    seg.destroy()
-    seg.destroy()
-    assert seg.name not in shm.leaked_segments()
-
-
-def test_close_tolerates_live_views():
-    seg = shm.SharedSegment.create("test", 256)
-    view = seg.ndarray(np.uint8, (256,))
-    seg.destroy()  # view still alive: name must go, no exception
-    assert seg.name not in shm.leaked_segments()
-    assert view[0] == 0  # the pinned mapping stays readable
-
-
-def test_registry_tracks_owned_segments():
-    seg = shm.SharedSegment.create("test", 64)
-    assert seg.name in shm.live_segment_names()
-    seg.destroy()
-    assert seg.name not in shm.live_segment_names()
-
-
-def test_disown_all_revokes_unlink_rights():
-    seg = shm.SharedSegment.create("test", 64)
-    try:
-        shm.disown_all()
-        assert not seg.owner
-        seg.destroy()  # now a no-op unlink: the name must survive
-        assert seg.name in shm.leaked_segments()
-    finally:
-        seg.owner = True
-        seg.destroy()
-
-
-# ---------------------------------------------------------------------------
-# Orphan janitor
-# ---------------------------------------------------------------------------
-
-def test_reap_orphans_removes_dead_creators_segment():
-    pid = os.fork()
-    if pid == 0:  # child: create a segment, then die without cleanup
-        shm.SharedSegment.create("orphan", 1024)
-        os.kill(os.getpid(), signal.SIGKILL)
-    os.waitpid(pid, 0)
-    orphaned = [n for n in shm.leaked_segments()
-                if n.startswith(f"{shm.SEGMENT_PREFIX}-{pid}-")]
-    assert orphaned, "child should have left an orphan behind"
-    reaped = shm.reap_orphans()
-    assert set(orphaned) <= set(reaped)
-    assert not [n for n in shm.leaked_segments()
-                if n.startswith(f"{shm.SEGMENT_PREFIX}-{pid}-")]
-
-
-def test_reap_orphans_spares_live_creators():
-    seg = shm.SharedSegment.create("test", 64)
-    try:
-        assert seg.name not in shm.reap_orphans()
-        assert seg.name in shm.leaked_segments()
-    finally:
-        seg.destroy()
-
-
-# ---------------------------------------------------------------------------
-# Payload codec
-# ---------------------------------------------------------------------------
-
-def test_codec_scalar_roundtrip():
-    w = shm.PayloadWriter()
-    w.u8(7)
-    w.u32(123456)
-    w.i64(-42)
-    w.str_("tmm_C")
-    w.bytes_(b"\x00raw\xff")
-    r = shm.PayloadReader(w.getvalue())
-    assert r.u8() == 7
-    assert r.u32() == 123456
-    assert r.i64() == -42
-    assert r.str_() == "tmm_C"
-    assert r.bytes_() == b"\x00raw\xff"
-
-
-@pytest.mark.parametrize("arr", [
-    np.arange(12, dtype=np.int32).reshape(3, 4),
-    np.array([], dtype=np.float64),
-    np.array(5, dtype=np.uint16),
-    np.random.default_rng(0).random((2, 3, 4)),
-    np.array([True, False, True]),
-])
-def test_codec_array_roundtrip(arr):
-    w = shm.PayloadWriter()
-    w.array(arr)
-    out = shm.PayloadReader(w.getvalue()).array()
-    assert out.dtype == arr.dtype
-    assert out.shape == arr.shape
-    assert np.array_equal(out, arr)
-
-
-def test_codec_optional_array_roundtrip():
-    w = shm.PayloadWriter()
-    w.optional_array(None)
-    w.optional_array(np.arange(3))
-    r = shm.PayloadReader(w.getvalue())
-    assert r.optional_array() is None
-    assert np.array_equal(r.optional_array(), np.arange(3))
-
-
-def test_codec_noncontiguous_array():
-    base = np.arange(20).reshape(4, 5)
-    sliced = base[:, ::2]
-    w = shm.PayloadWriter()
-    w.array(sliced)
-    assert np.array_equal(shm.PayloadReader(w.getvalue()).array(), sliced)
-
-
-def test_codec_reads_from_memoryview_offsets():
-    w = shm.PayloadWriter()
-    w.u32(77)
-    w.array(np.arange(4, dtype=np.int64))
-    payload = w.getvalue()
-    buf = memoryview(b"\xaa" * 3 + payload)
-    r = shm.PayloadReader(buf, offset=3)
-    assert r.u32() == 77
-    assert np.array_equal(r.array(), np.arange(4, dtype=np.int64))
-
-
-def test_segment_stats_walk_registry():
-    base_count, base_bytes = shm.segment_stats()
-    seg = shm.SharedSegment.create("stats", 4096)
-    try:
-        count, nbytes = shm.segment_stats()
-        assert count == base_count + 1
-        assert nbytes >= base_bytes + 4096
-    finally:
-        seg.destroy()
-    assert shm.segment_stats() == (base_count, base_bytes)
-
-
-def test_publish_segment_gauges_tracks_create_and_unlink():
-    from repro.obs.metrics import MetricsRegistry
-
-    reg = MetricsRegistry()
-    seg = shm.SharedSegment.create("gauge", 2048)
-    try:
-        count, nbytes = shm.publish_segment_gauges(reg)
-        assert count >= 1 and nbytes >= 2048
-        gauges = reg.snapshot()["gauges"]
-        assert gauges["engine.shm.segments"] == count
-        assert gauges["engine.shm.segment_bytes"] == nbytes
-    finally:
-        seg.destroy()
-    assert shm.publish_segment_gauges(reg) == shm.segment_stats()
-
-
-def test_segment_lifecycle_emits_gauges_to_installed_recorder():
-    from repro import obs
-
-    with obs.recording(trace=False) as rec:
-        seg = shm.SharedSegment.create("live", 1024)
-        created = rec.metrics_snapshot()["gauges"]["engine.shm.segments"]
-        assert created >= 1
-        seg.destroy()
-        after = rec.metrics_snapshot()["gauges"]
-        assert after["engine.shm.segments"] == created - 1
-
-
-def test_publish_segment_gauges_null_metrics_is_noop():
-    from repro.obs.metrics import NullMetrics
-
-    # returns the stats but records nothing
-    stats = shm.publish_segment_gauges(NullMetrics())
-    assert stats == shm.segment_stats()

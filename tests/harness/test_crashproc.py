@@ -98,7 +98,7 @@ def test_managed_tmpdir_keep_leaves_directory():
 def _spec(tmp, **overrides):
     base = dict(
         workload="spmv", scale="tiny", seed=0, config="global-array",
-        engine="serial", jobs=None, cache_lines=8,
+        engine="serial", cache_lines=8,
         heap_path=str(tmp.file("heap.lpnv")),
         ready_path=str(tmp.file("ready")),
         phase="launch", trigger=None,
@@ -156,7 +156,7 @@ def test_clean_child_completes_and_leaves_consistent_heap():
 # End-to-end kill matrix: the acceptance criterion
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("engine", ["serial", "parallel", "batched"])
+@pytest.mark.parametrize("engine", ["serial", "batched"])
 @pytest.mark.parametrize("workload", ["spmv", "tmm"])
 def test_kill_midlaunch_reopen_recover_verify(workload, engine):
     cell = run_cell(workload, engine, "global-array", kill_rounds=1,

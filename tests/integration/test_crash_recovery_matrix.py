@@ -7,7 +7,7 @@ import repro
 from repro.core.config import ChecksumKind
 from repro.core.recovery import RecoveryManager
 from repro.core.runtime import LPRuntime
-from repro.gpu.engine import make_engine
+from repro.gpu.engine import BatchedEngine, make_engine
 from repro.obs import load_schema, validate
 from repro.obs.forensics import LANE_MISMATCH, MISSING_ENTRY
 from repro.workloads import WORKLOADS, make_workload
@@ -77,8 +77,8 @@ def test_block_order_invariance(workload_name):
 # -- engine parity of the post-crash pipeline -----------------------------------
 #
 # The validation fast path (vectorized re-checksum + batched table
-# lookups) and the batched/chunked recovery dispatch must be invisible:
-# every engine reproduces the serial reference's ValidationReport bit
+# lookups) and the batched recovery dispatch must be invisible: the
+# batched engine reproduces the serial reference's ValidationReport bit
 # for bit — failed sets, missing entries, per-block failure_details
 # lanes, and the forensics serialization (hex lanes included).
 
@@ -129,7 +129,7 @@ def _assert_details_equal(ref, got):
 
 @pytest.mark.parametrize("checksum_name", sorted(CHECKSUM_KINDS))
 @pytest.mark.parametrize("table_name", sorted(TABLES))
-@pytest.mark.parametrize("engine_name", ["parallel", "batched"])
+@pytest.mark.parametrize("engine_name", ["batched"])
 def test_recovery_pipeline_engine_parity(engine_name, table_name,
                                          checksum_name):
     config = TABLES[table_name].with_(
@@ -167,7 +167,7 @@ def test_recovery_pipeline_engine_parity(engine_name, table_name,
 # bit-identical to the in-memory backend under the same CrashPlan seed.
 
 @pytest.mark.parametrize("table_name", sorted(TABLES))
-@pytest.mark.parametrize("engine_name", ["serial", "parallel", "batched"])
+@pytest.mark.parametrize("engine_name", ["serial", "batched"])
 def test_recovery_mapped_backend_parity(engine_name, table_name,
                                         tmp_path):
     config = TABLES[table_name]
@@ -212,15 +212,16 @@ def test_recovery_mapped_backend_parity(engine_name, table_name,
 
 # -- full parity matrix ---------------------------------------------------------
 #
-# The shared-memory parallel engine drives the *whole* pipeline — the
-# crashed NORMAL launch, validation, recovery — across every workload,
-# every table, and both shadow backends, and must land bit-identically
-# on the serial reference: recovered volatile + NVM images, failed
-# sets, forensics, everything.
+# The batched engine drives the *whole* pipeline — the crashed NORMAL
+# launch, validation, recovery — across every workload, every table,
+# and both shadow backends, and must land bit-identically on the serial
+# reference: recovered volatile + NVM images, failed sets, forensics,
+# everything. Two-block groups put a group boundary inside every tiny
+# launch, so per-block application order is exercised everywhere.
 
-def _full_pipeline(engine_name, workload_name, config, shadow=None):
+def _full_pipeline(engine, workload_name, config, shadow=None):
     device = repro.Device(cache_capacity_lines=16, block_order="shuffled",
-                          seed=13, engine=engine_name, shadow=shadow)
+                          seed=13, engine=engine, shadow=shadow)
     work = make_workload(workload_name, scale="tiny")
     kernel = work.setup(device)
     lp_kernel = LPRuntime(device, config).instrument(kernel)
@@ -245,8 +246,8 @@ def _full_pipeline(engine_name, workload_name, config, shadow=None):
 @pytest.mark.parametrize("shadow_kind", ["memory", "mapped"])
 @pytest.mark.parametrize("table_name", sorted(TABLES))
 @pytest.mark.parametrize("workload_name", sorted(WORKLOADS))
-def test_parallel_engine_parity_matrix(workload_name, table_name,
-                                       shadow_kind, tmp_path):
+def test_batched_engine_parity_matrix(workload_name, table_name,
+                                      shadow_kind, tmp_path):
     config = TABLES[table_name]
 
     def shadow():
@@ -258,7 +259,8 @@ def test_parallel_engine_parity_matrix(workload_name, table_name,
     ref_report, ref_images = _full_pipeline(
         "serial", workload_name, config, shadow=shadow())
     report, images = _full_pipeline(
-        "parallel", workload_name, config, shadow=shadow())
+        BatchedEngine(group_size=2), workload_name, config,
+        shadow=shadow())
 
     for phase in ("initial", "final"):
         ref_val = getattr(ref_report, phase)

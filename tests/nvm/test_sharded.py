@@ -1,7 +1,7 @@
 """Unit tests for the sharded multi-heap NVM backend.
 
 Covers the manifest format, buffer placement, the per-shard journal
-fan-out (torn-write containment), adopt, sealing, the degenerate
+fan-out (torn-write containment), adopt, the degenerate
 configurations (1 shard ≡ MappedShadow; more shards than blocks), and
 the read-only sharded inspector + schema v2.
 """
@@ -329,7 +329,7 @@ def test_per_shard_listener_fires_inside_its_own_window(manifest_path):
 
 
 # ---------------------------------------------------------------------------
-# Adopt + worker sealing
+# Adopt
 # ---------------------------------------------------------------------------
 
 def test_adopt_swaps_shadows_and_resets_volatile(manifest_path):
@@ -357,22 +357,6 @@ def test_adopt_layout_mismatch_is_typed(manifest_path):
         mem.alloc("a", (300,), np.float32)  # dtype diverged
         with pytest.raises(HeapLayoutError):
             heap.adopt(mem)
-
-
-def test_worker_mode_seals_every_shard(manifest_path):
-    heap = ShardedShadow.create(manifest_path, n_shards=2)
-    mem = GlobalMemory(cache_capacity_lines=4, shadow=heap)
-    mem.alloc("x", (64,), np.int64)
-    mem.enter_worker_mode()
-    assert mem.shadow_backend is None
-    with pytest.raises(HeapFormatError, match="sealed in a worker"):
-        heap.arm([0])
-    with pytest.raises(HeapFormatError, match="sealed in a worker"):
-        heap.sync()
-    for shard in heap.shards:
-        with pytest.raises(HeapFormatError, match="sealed in a worker"):
-            shard.arm([0])
-    heap.close()
 
 
 # ---------------------------------------------------------------------------
@@ -421,10 +405,12 @@ def test_more_shards_than_blocks_cold_open_is_safe(tmp_path):
                               np.arange(16, dtype=np.int32))
 
 
-def test_shard_of_block_is_modulo(manifest_path):
+def test_shard_paths_lists_every_shard(manifest_path):
     heap = ShardedShadow.create(manifest_path, n_shards=3)
-    assert [heap.shard_of_block(b) for b in range(6)] == [0, 1, 2, 0, 1, 2]
-    assert len(heap.shard_paths()) == 3
+    assert heap.shard_paths() == [
+        manifest_path.with_name(f"{manifest_path.name}.shard{k}")
+        for k in range(3)
+    ]
     heap.close()
 
 

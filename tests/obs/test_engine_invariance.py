@@ -16,10 +16,11 @@ import pytest
 
 import repro
 from repro import obs
+from repro.gpu.engine import BatchedEngine
 from repro.obs.metrics import ORDER_SENSITIVE_PREFIXES, commutative_view
 from repro.workloads.spmv import SPMVWorkload
 
-ENGINES = ["serial", "parallel", "batched"]
+ENGINES = ["serial", "batched"]
 
 
 def record_spmv(engine, config, crash_after=None):
@@ -27,8 +28,9 @@ def record_spmv(engine, config, crash_after=None):
     with obs.recording(trace=False, metrics=True) as rec:
         device = repro.Device(cache_capacity_lines=64,
                               block_order="shuffled", seed=7,
-                              engine=repro.make_engine(engine, jobs=2)
-                              if engine == "parallel"
+                              # Two-block groups: many group boundaries.
+                              engine=BatchedEngine(group_size=2)
+                              if engine == "batched"
                               else repro.make_engine(engine))
         work = SPMVWorkload(scale="small", seed=3)
         kernel = work.setup(device)
@@ -88,12 +90,11 @@ def test_exemptions_are_documented_and_narrow():
     justification in docs/observability.md.
     """
     assert ORDER_SENSITIVE_PREFIXES == (
-        "time.", "engine.scheduling.", "engine.shm.", "engine.slots.",
-        "service.window.ms")
+        "time.", "engine.scheduling.", "service.window.ms")
 
 
 def test_scheduling_series_differ_but_are_exempt():
-    """Parallel/batched record scheduling counters serial never emits —
+    """Batched records scheduling counters serial never emits —
     the projection must be what hides them, not luck."""
     config = repro.LPConfig.paper_best()
     raw_serial = record_spmv("serial", config)["counters"]

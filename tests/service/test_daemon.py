@@ -6,7 +6,12 @@ elided relative to ``python -m repro serve``.
 """
 
 import json
+import os
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 
 import pytest
 
@@ -216,3 +221,57 @@ def test_durable_server_resumes_after_clean_restart(tmp_path):
 def test_bad_address_rejected():
     with pytest.raises(ServiceError):
         KVServer(ServiceConfig(), address="127.0.0.1:notaport")
+
+
+#: Child for the off-main-thread signal test: ``repro serve`` in the
+#: main thread, plus a helper thread that, once the daemon is ready,
+#: sends SIGTERM to *itself* — the kernel delivers it to the helper,
+#: not to the main thread blocked in ``KVServer.join``.
+_SELF_SIGTERM_CHILD = """
+import signal, sys, threading, time
+from pathlib import Path
+from repro.__main__ import main
+
+ready = Path(sys.argv[1])
+
+def kick():
+    while not ready.exists():
+        time.sleep(0.01)
+    signal.pthread_kill(threading.get_ident(), signal.SIGTERM)
+
+threading.Thread(target=kick, daemon=True).start()
+sys.exit(main(["serve", "--socket", sys.argv[2], "--ready-file",
+               sys.argv[1], "--capacity", "256", "--cache-lines", "64"]))
+"""
+
+
+def test_serve_exits_on_sigterm_delivered_to_another_thread(tmp_path):
+    import repro
+
+    src_root = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src_root, env.get("PYTHONPATH")) if p)
+    ready = tmp_path / "ready"
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _SELF_SIGTERM_CHILD, str(ready),
+         str(tmp_path / "kv.sock")],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while not ready.exists():
+            assert proc.poll() is None, proc.communicate()
+            assert time.monotonic() < deadline, "daemon never became ready"
+            time.sleep(0.05)
+        try:
+            out, err = proc.communicate(timeout=10)
+        except subprocess.TimeoutExpired:
+            pytest.fail("repro serve ignored a SIGTERM delivered to a "
+                        "non-main thread (still running after 10 s)")
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert proc.returncode == 0, err.decode()
+    assert b"bye" in out

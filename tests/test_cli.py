@@ -73,3 +73,22 @@ def test_report_writes_file(tmp_path, capsys):
 def test_parser_requires_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "spmv", "--engine", "parallel"],
+    ["run", "spmv", "--jobs", "2"],
+    ["profile", "spmv", "--jobs", "2"],
+    ["mc", "--engine", "parallel"],
+    ["mc", "--jobs", "2"],
+    ["crash-test", "--engines", "parallel"],
+    ["crash-test", "--jobs", "2"],
+    ["serve", "--engine", "parallel"],
+    ["serve", "--jobs", "2"],
+])
+def test_parallel_engine_and_jobs_are_usage_errors(argv, capsys):
+    """Only serial and batched engines exist; neither takes a job count."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
